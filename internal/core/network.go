@@ -231,7 +231,51 @@ func (n *Network) Heard(i int, p geom.Point) bool {
 // primitives (HeardByBatch and friends) report the same no-station
 // answer as the NoStationHeard (-1) sentinel, since they have no
 // per-element ok bool.
+//
+// Cost: O(n) for beta > 1, O(n^2) for beta <= 1. For beta > 1 it
+// certifies only the strongest signal: one pass finds the first strict
+// maximum of Energy(i, p), and one Heard call settles it. This is
+// exact in floating point, with no tolerance:
+//
+//	Invariant (strongest signal). If beta > 1 and Heard(i, p), then
+//	Energy(i, p) > Energy(j, p) for every j != i. Hence at most one
+//	station is heard, it is the first strict maximum of Energy(., p),
+//	and HeardBy(p) == heardByScan(p) for every p.
+//
+// Proof, in the arithmetic SINR actually performs. Every energy term
+// is >= 0 (or NaN, and then no station is heard at p: each SINR there
+// is NaN or 0). Round-to-nearest is monotone, so each partial sum of
+// Interference, and then fl(I + N), is >= every term in it. If E(i, p)
+// is +Inf, Heard requires a finite I, so every other term is finite
+// and smaller. Otherwise fl(E/D) >= beta > 1 with D = fl(I + N), which
+// by monotonicity requires E/D > 1 exactly (D = 0 forces every other
+// term to 0 < E). Either way E(i, p) exceeds every other station's
+// energy. FuzzHeardBy and TestHeardByStrongestSignal check the
+// invariant differentially against the scan.
+//
+//sinr:hotpath
 func (n *Network) HeardBy(p geom.Point) (int, bool) {
+	if n.beta <= 1 {
+		return n.heardByScan(p)
+	}
+	best, bestE := 0, n.Energy(0, p)
+	for i := 1; i < len(n.stations); i++ {
+		if e := n.Energy(i, p); e > bestE {
+			best, bestE = i, e
+		}
+	}
+	if n.Heard(best, p) {
+		return best, true
+	}
+	return 0, false
+}
+
+// heardByScan is the definition HeardBy answers by: test every
+// station in index order, each test an O(n) interference sum, and
+// return the first heard one. It is the only path for beta <= 1, where
+// several stations can be heard, and the O(n^2) baseline of
+// NaiveLocate.
+func (n *Network) heardByScan(p geom.Point) (int, bool) {
 	for i := range n.stations {
 		if n.Heard(i, p) {
 			return i, true

@@ -240,11 +240,13 @@ func (l *Locator) HeardBy(p geom.Point) (int, bool) {
 	return loc.Station, true
 }
 
-// NaiveLocate is the O(n^2)-flavored baseline the paper mentions:
-// evaluate the SINR of every station at p (each evaluation is O(n))
-// and report the heard station, if any.
+// NaiveLocate is the O(n^2) baseline the paper mentions: evaluate the
+// SINR of every station at p (each evaluation is O(n)) and report the
+// first heard station, if any. It always scans, whatever beta, so it
+// stays the baseline the experiments compare against and an oracle
+// independent of HeardBy's strongest-signal shortcut.
 func (n *Network) NaiveLocate(p geom.Point) Location {
-	if i, ok := n.HeardBy(p); ok {
+	if i, ok := n.heardByScan(p); ok {
 		return Location{Kind: Reception, Station: i}
 	}
 	return Location{Kind: NoReception}

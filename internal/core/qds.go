@@ -77,6 +77,22 @@ type rowSpan struct {
 	Lo, Hi int
 }
 
+// Theorem3Preconditions returns nil when the network meets the
+// preconditions of the Theorem 3 point-location structure (alpha = 2,
+// uniform power, beta > 1), else the error of the first one it fails.
+func (n *Network) Theorem3Preconditions() error {
+	if n.alpha != 2 {
+		return ErrNeedAlpha2
+	}
+	if !n.uniform {
+		return ErrNeedUniform
+	}
+	if n.beta <= 1 {
+		return ErrNeedBetaGT1
+	}
+	return nil
+}
+
 // BuildQDS constructs the Section 5.1 data structure for station k's
 // reception zone with performance parameter 0 < eps < 1. Requirements
 // mirror the paper's: uniform power, alpha = 2, beta > 1 (so the zone
@@ -87,14 +103,8 @@ func (n *Network) BuildQDS(k int, eps float64) (*QDS, error) {
 	if eps <= 0 || eps >= 1 {
 		return nil, fmt.Errorf("core: performance parameter eps must be in (0, 1), got %v", eps)
 	}
-	if n.alpha != 2 {
-		return nil, ErrNeedAlpha2
-	}
-	if !n.uniform {
-		return nil, ErrNeedUniform
-	}
-	if n.beta <= 1 {
-		return nil, ErrNeedBetaGT1
+	if err := n.Theorem3Preconditions(); err != nil {
+		return nil, err
 	}
 	if k < 0 || k >= len(n.stations) {
 		return nil, fmt.Errorf("core: station index %d out of range [0, %d)", k, len(n.stations))

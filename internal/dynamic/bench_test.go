@@ -100,13 +100,37 @@ func BenchmarkDynamicLocate(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
-			snap := dyn.Snapshot()
-			pts := gen.QueryPoints(4096, box)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				snap.Locate(pts[i%len(pts)])
-			}
+			benchLocate(b, dyn.Snapshot(), gen.QueryPoints(4096, box))
 		})
+	}
+	// A power walk makes the epoch non-uniform: covered points then
+	// answer through Network.HeardBy's strongest-signal check.
+	b.Run("power/n=256", func(b *testing.B) {
+		net, box := benchNet(b, 256)
+		dyn, err := New(net, WithRebuildFraction(math.Inf(1)))
+		if err != nil {
+			b.Fatal(err)
+		}
+		gen := workload.NewGenerator(3)
+		for _, ev := range gen.ChurnTrace(256, 32, box, 0, 0, 1, 0.25) {
+			d := Delta{SetPower: []PowerUpdate{{Station: ev.Station, Power: ev.Power}}}
+			if _, err := dyn.Apply(d); err != nil {
+				b.Fatal(err)
+			}
+		}
+		snap := dyn.Snapshot()
+		if snap.Network().IsUniform() {
+			b.Fatal("power churn left the epoch uniform")
+		}
+		benchLocate(b, snap, gen.QueryPoints(4096, box))
+	})
+}
+
+// benchLocate times snap.Locate over pts, cycled.
+func benchLocate(b *testing.B, snap *Snapshot, pts []geom.Point) {
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		snap.Locate(pts[i%len(pts)])
 	}
 }

@@ -32,7 +32,9 @@
 // grid lookup certifies most of the plane H-, the Observation 2.2
 // nearest-station reduction plus a single SINR evaluation settles
 // covered points of uniform beta > 1 networks, and other networks fall
-// back to the exact scan. Answers equal a from-scratch build on the
+// back to Network.HeardBy — for non-uniform beta > 1 networks an O(n)
+// strongest-signal check (the station of largest energy, then one SINR
+// evaluation), the O(n^2) exact scan only for beta <= 1. Answers equal a from-scratch build on the
 // same station set point-for-point — the property tests pin this
 // against core.BuildLocator with and without its spatial index.
 //

@@ -185,8 +185,9 @@ func (s *Snapshot) GridEnabled() bool { return s.grid != nil }
 // touching a station — then, for uniform networks with beta > 1, the
 // nearest-station reduction of Observation 2.2: the base-tree overlay
 // finds the nearest station and one SINR evaluation settles it. Other
-// networks (non-uniform power, beta <= 1) fall back to the exact scan.
-// Answers are identical to a from-scratch Network.HeardBy — and, for
+// networks fall back to Network.HeardBy: O(n) per covered point for
+// non-uniform beta > 1 (the strongest-signal check), O(n^2) only for
+// beta <= 1. Answers are identical to a from-scratch Network.HeardBy — and, for
 // locator-eligible networks, to a from-scratch Theorem 3 locator's
 // LocateExact. The hot path performs no allocations.
 //

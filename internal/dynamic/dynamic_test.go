@@ -201,6 +201,58 @@ func TestApplyPowerWalkEquivalence(t *testing.T) {
 	}
 }
 
+// TestNonUniformLocateMatchesNaiveScan checks the non-uniform path of
+// Snapshot.Locate end to end at serving size: a 256-station network
+// under the mix churn process (arrivals, departures and power walks),
+// every non-uniform epoch probed at covered points near stations and
+// at uniform points, each answer compared with NaiveLocate of a
+// from-scratch network. NaiveLocate always scans every station, so the
+// oracle shares no code with HeardBy's strongest-signal check, which
+// the non-uniform path runs through.
+func TestNonUniformLocateMatchesNaiveScan(t *testing.T) {
+	const n = 256
+	side := 3 * math.Sqrt(n)
+	box := geom.NewBox(geom.Pt(-side/2, -side/2), geom.Pt(side/2, side/2))
+	gen := workload.NewGenerator(256)
+	pts, err := gen.UniformSeparated(n, box, 0.1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	net, err := core.NewUniform(pts, testNoise, testBeta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dyn, err := New(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checked := 0
+	for evi, ev := range gen.ChurnTrace(n, 40, box, 1, 1, 1, 0.25) {
+		snap, err := dyn.Apply(deltaFromEvent(ev))
+		if err != nil {
+			t.Fatalf("event %d: %v", evi, err)
+		}
+		if snap.Network().IsUniform() {
+			continue
+		}
+		scratch := scratchNet(t, snap)
+		probes := gen.QueryPoints(16, box)
+		for q := 0; q < 32; q++ {
+			s := scratch.Station(gen.Intn(scratch.NumStations()))
+			probes = append(probes, geom.Pt(s.X+0.4*gen.Float64()-0.2, s.Y+0.4*gen.Float64()-0.2))
+		}
+		for _, p := range probes {
+			if got, want := snap.Locate(p), scratch.NaiveLocate(p); got != want {
+				t.Fatalf("event %d: Locate(%v) = %+v, naive scan = %+v", evi, p, got, want)
+			}
+		}
+		checked++
+	}
+	if checked < 20 {
+		t.Fatalf("only %d non-uniform epochs checked; the trace should make most of them non-uniform", checked)
+	}
+}
+
 // TestSnapshotIsolation: an epoch captured before further churn must
 // keep answering from its own station set, bit-for-bit, no matter how
 // much the engine moves on (including across amortized rebuilds).

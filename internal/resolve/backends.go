@@ -11,9 +11,10 @@ import (
 )
 
 // ExactResolver answers every query by direct SINR evaluation
-// (Network.HeardBy): O(n) per query, no preprocessing, exact by
-// definition. It is the ground truth the other backends are measured
-// against.
+// (Network.HeardBy): no preprocessing, exact by definition, O(n) per
+// query for beta > 1 (the strongest-signal check) and O(n^2) for
+// beta <= 1 (the full scan). It is the ground truth the other backends
+// are measured against.
 type ExactResolver struct {
 	engine
 	net *core.Network
@@ -27,7 +28,7 @@ func NewExact(net *core.Network, opts ...Option) (*ExactResolver, error) {
 	}
 	r := &ExactResolver{net: net}
 	r.engine = engine{
-		fn:      net.NaiveLocate,
+		fn:      locateBy(net.HeardBy),
 		workers: c.workers,
 		stats: Stats{
 			Kind:     KindExact,
@@ -40,6 +41,17 @@ func NewExact(net *core.Network, opts ...Option) (*ExactResolver, error) {
 
 // Network returns the underlying network.
 func (r *ExactResolver) Network() *core.Network { return r.net }
+
+// locateBy adapts a comma-ok reception model's HeardBy to the
+// Location shape.
+func locateBy(heardBy func(geom.Point) (int, bool)) func(geom.Point) core.Location {
+	return func(p geom.Point) core.Location {
+		if i, ok := heardBy(p); ok {
+			return core.Location{Kind: core.Reception, Station: i}
+		}
+		return core.Location{Kind: core.NoReception}
+	}
+}
 
 // LocatorResolver answers through the Theorem 3 structure: O(log n)
 // per query after an O(n^3/eps) build. With exact fallback (the
@@ -175,12 +187,7 @@ func NewUDG(net *core.Network, opts ...Option) (*UDGResolver, error) {
 	}
 	r := &UDGResolver{model: m}
 	r.engine = engine{
-		fn: func(p geom.Point) core.Location {
-			if i, ok := m.HeardBy(p); ok {
-				return core.Location{Kind: core.Reception, Station: i}
-			}
-			return core.Location{Kind: core.NoReception}
-		},
+		fn:      locateBy(m.HeardBy),
 		workers: c.workers,
 		stats: Stats{
 			Kind:         KindUDG,

@@ -125,6 +125,62 @@ func TestPatchLifecycle(t *testing.T) {
 	}
 }
 
+// TestDefaultKindAfterSetPower: a set_power PATCH makes the network
+// non-uniform, outside the Theorem 3 preconditions. A locate with the
+// default (locator) kind must still answer 200, through the exact
+// backend, with results identical to an explicit "exact" request on
+// the same version.
+func TestDefaultKindAfterSetPower(t *testing.T) {
+	srv := NewServer(Options{Workers: 2})
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	resp := postJSON(t, ts, "/v1/networks", registerReq("churn", testStations(t, 8, 43), 0.01, 3))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("register: %s", resp.Status)
+	}
+	resp = patchJSON(t, ts, "churn", NetworkDeltaRequest{SetPower: []PowerUpdateJSON{{Station: 3, Power: 2.5}}})
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("patch: %s", resp.Status)
+	}
+
+	locate := func(kind string) LocateResponse {
+		t.Helper()
+		req := LocateRequest{Network: "churn", Resolver: kind}
+		for _, p := range workload.NewGenerator(44).QueryPoints(200, geom.NewBox(geom.Pt(-6, -6), geom.Pt(6, 6))) {
+			req.Points = append(req.Points, PointJSON{X: p.X, Y: p.Y})
+		}
+		resp := postJSON(t, ts, "/v1/locate", req)
+		if resp.StatusCode != http.StatusOK {
+			b, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			t.Fatalf("locate with kind %q: %s: %s", kind, resp.Status, b)
+		}
+		return decodeJSON[LocateResponse](t, resp)
+	}
+	def, exact := locate(""), locate("exact")
+	if def.Version != 2 || exact.Version != 2 {
+		t.Fatalf("answered from versions %d and %d, want 2", def.Version, exact.Version)
+	}
+	if def.Resolver != "exact" {
+		t.Errorf("default kind on a non-uniform network answered by %q, want exact", def.Resolver)
+	}
+	heard := 0
+	for i := range exact.Results {
+		if def.Results[i] != exact.Results[i] {
+			t.Fatalf("point %d: default kind %+v, exact %+v", i, def.Results[i], exact.Results[i])
+		}
+		if exact.Results[i].Station != NoStationHeard {
+			heard++
+		}
+	}
+	if heard == 0 {
+		t.Fatal("no probe point is heard; the comparison is vacuous")
+	}
+}
+
 // TestPatchErrors covers the failure surface: unknown network, bad
 // delta documents, and non-PATCH methods on the name route.
 func TestPatchErrors(t *testing.T) {

@@ -601,6 +601,13 @@ func (s *Server) resolverFor(tr *trace.Trace, name string, entry *netEntry, spec
 		if math.IsNaN(eps) || math.IsInf(eps, 0) || eps < s.opt.MinEps {
 			return nil, nil, 0, 0, fmt.Errorf("%w (eps %g < %g)", errEpsTooSmall, eps, s.opt.MinEps)
 		}
+		if snap.net.Theorem3Preconditions() != nil {
+			// No locator can be built (after a set_power PATCH, say).
+			// Serve settles every H? ring exactly, so locator and exact
+			// answers never differ: answer exactly, and name the
+			// backend that did.
+			kind, eps = resolve.KindExact, 0
+		}
 	case resolve.KindUDG:
 		radius = spec.radius
 		if radius == 0 {
