@@ -4,155 +4,155 @@ import (
 	"container/list"
 	"sync"
 	"sync/atomic"
-
-	"repro/internal/resolve"
 )
 
-// cacheKey identifies one resolver build: a network name at a specific
-// registration version, answered by a specific backend with its
-// parameters. eps is zero for non-locator kinds and radius is zero for
-// non-UDG kinds (normalized by the caller), so e.g. "exact at eps 0.1"
-// and "exact at eps 0.2" share one cache slot.
-type cacheKey struct {
-	name    string
-	version uint64
-	kind    resolve.Kind
-	eps     float64
-	radius  float64
+// cache is the single-flight LRU behind both served caches: resolvers
+// (the O(n^3/eps) Theorem 3 locator is the expensive occupant) and
+// schedules. Its keys name the registry slot (*netEntry), never the
+// network name: a re-created name gets a new slot, so nothing a deleted
+// network built — not even a build still in flight across the DELETE —
+// can match a key of its namesake.
+//
+// The properties the rest of the package relies on:
+//
+//  1. Single flight: while a key's entry is in the map, exactly one
+//     caller runs its build; every other get of the key waits for that
+//     build and shares its value or its error. A caller with a fresh
+//     predicate cannot tell which generation a failure was for, so it
+//     goes round instead, joining or starting the retry.
+//  2. Only completed entries are LRU-evicted. An in-flight build is
+//     never evicted, so the cache can transiently exceed its capacity
+//     under a burst of distinct first-time keys.
+//  3. drop removes a slot's entries, in-flight ones included. Their
+//     waiters keep the entry pointer and complete normally; the entry
+//     just stops being findable, and a finished build touches the map
+//     only if the map still points at its entry.
+//  4. A failed build is removed, so a later get retries it.
+//  5. A completed value the caller's fresh predicate rejects is handed
+//     to a new build as prev (the schedule path repairs it); waiters
+//     on that rebuild join it as in 1.
+//
+// Every get is counted once, either as a hit or as a build.
+type cache[K slotKey, V any] struct {
+	mu      sync.Mutex
+	cap     int
+	entries map[K]*list.Element
+	lru     *list.List // of *flight[K, V], front = most recently used
+	hits    atomic.Int64
+	builds  atomic.Int64
+	evicted atomic.Int64 // LRU evictions (capacity pressure)
+	dropped atomic.Int64 // entries removed by drop
 }
 
-// cacheEntry is one cached (possibly still building) resolver. ready
-// is closed when res/err are final; done mirrors the close under the
-// cache mutex so eviction can skip in-flight builds without waiting.
-type cacheEntry struct {
-	key   cacheKey
+// slotKey is a cache key: it names the registry slot its entry belongs
+// to and, for per-generation entries, the slot's version (0 otherwise).
+type slotKey interface {
+	comparable
+	slotVersion() (*netEntry, uint64)
+}
+
+// flight is one cached (possibly still building) value. ready is closed
+// when val/err are final; done mirrors the close under the cache mutex
+// so eviction can skip in-flight builds without waiting.
+type flight[K slotKey, V any] struct {
+	key   K
 	ready chan struct{}
 	done  bool
-	res   resolve.Resolver
+	val   V
 	err   error
 }
 
-// resolverCache is a single-flight LRU cache of query resolvers.
-// A cached locator owns its sharded spatial index, so the index is
-// versioned with the snapshot that built it: a hot swap bumps the
-// version, misses the cache, and builds a fresh locator+index pair,
-// while requests still holding the old snapshot keep answering from
-// the old pair — index and network can never disagree mid-request.
-// Concurrent get calls for the same key share one build: the first
-// caller builds while the rest wait on the entry's ready channel.
-// Completed entries beyond cap are evicted least-recently-used;
-// in-flight builds are never evicted, so the cache can transiently
-// exceed cap under a burst of distinct first-time keys. The expensive
-// occupant is the Theorem 3 locator (O(n^3/eps) build, O(n/eps)
-// memory); the baseline backends are cheap but cached all the same so
-// every kind flows through one code path.
-type resolverCache struct {
-	mu      sync.Mutex
-	cap     int
-	entries map[cacheKey]*list.Element
-	lru     *list.List // of *cacheEntry, front = most recently used
-	builds  atomic.Int64
-	hits    atomic.Int64
-	evicted atomic.Int64 // LRU evictions (capacity pressure)
-	invalid atomic.Int64 // invalidations (superseded generations)
+func newCache[K slotKey, V any](capacity int) *cache[K, V] {
+	return &cache[K, V]{cap: capacity, entries: make(map[K]*list.Element), lru: list.New()}
 }
 
-func newResolverCache(capacity int) *resolverCache {
-	if capacity < 1 {
-		capacity = 1
-	}
-	return &resolverCache{
-		cap:     capacity,
-		entries: make(map[cacheKey]*list.Element),
-		lru:     list.New(),
-	}
-}
-
-// get returns the resolver for key, building it with build on a miss.
-// Exactly one caller runs build per key generation; a failed build is
-// dropped from the cache so a later request retries it.
-func (c *resolverCache) get(key cacheKey, build func() (resolve.Resolver, error)) (resolve.Resolver, error) {
-	c.mu.Lock()
-	if el, ok := c.entries[key]; ok {
-		c.lru.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
-		c.mu.Unlock()
-		// Joining an in-flight build counts as a hit too: the caller
-		// paid a wait, not a build.
-		c.hits.Add(1)
-		<-e.ready
-		return e.res, e.err
-	}
-	e := &cacheEntry{key: key, ready: make(chan struct{})}
-	c.entries[key] = c.lru.PushFront(e)
-	c.evictLocked()
-	c.mu.Unlock()
-
-	c.builds.Add(1)
-	res, err := build()
-
-	c.mu.Lock()
-	e.res, e.err, e.done = res, err, true
-	if err != nil {
-		if el, ok := c.entries[key]; ok && el.Value.(*cacheEntry) == e {
-			c.lru.Remove(el)
-			delete(c.entries, key)
+// get returns the value for key and whether it came without a build.
+// On a miss — or when fresh is non-nil and rejects the completed value
+// — the caller runs build, which receives the rejected value as prev
+// (the zero V on a plain miss).
+func (c *cache[K, V]) get(key K, fresh func(V) bool, build func(prev V) (V, error)) (V, bool, error) {
+	for {
+		c.mu.Lock()
+		el, ok := c.entries[key]
+		if !ok {
+			f := &flight[K, V]{key: key, ready: make(chan struct{})}
+			c.entries[key] = c.lru.PushFront(f)
+			c.evictLocked()
+			c.mu.Unlock()
+			var zero V
+			return c.run(f, zero, build)
 		}
+		f := el.Value.(*flight[K, V])
+		c.lru.MoveToFront(el)
+		c.mu.Unlock()
+		<-f.ready
+		if fresh == nil || f.err == nil && fresh(f.val) {
+			c.hits.Add(1)
+			return f.val, true, f.err
+		}
+		// Superseded: replace the entry with a fresh in-flight one if no
+		// one else has yet, otherwise go round and join the winner's. A
+		// failed entry has already left the map, so its waiters go round.
+		c.mu.Lock()
+		if el2, ok := c.entries[key]; ok && el2.Value.(*flight[K, V]) == f {
+			nf := &flight[K, V]{key: key, ready: make(chan struct{})}
+			el2.Value = nf
+			c.mu.Unlock()
+			return c.run(nf, f.val, build)
+		}
+		c.mu.Unlock()
+	}
+}
+
+// run executes build outside the lock and publishes the outcome to
+// every waiter on f.
+func (c *cache[K, V]) run(f *flight[K, V], prev V, build func(prev V) (V, error)) (V, bool, error) {
+	c.builds.Add(1)
+	val, err := build(prev)
+	c.mu.Lock()
+	f.val, f.err, f.done = val, err, true
+	if el, ok := c.entries[f.key]; ok && err != nil && el.Value.(*flight[K, V]) == f {
+		c.lru.Remove(el)
+		delete(c.entries, f.key)
 	}
 	c.mu.Unlock()
-	close(e.ready)
-	return res, err
+	close(f.ready)
+	return val, false, err
 }
 
 // evictLocked removes completed least-recently-used entries until the
 // cache is within capacity. Callers hold c.mu.
-func (c *resolverCache) evictLocked() {
+func (c *cache[K, V]) evictLocked() {
 	for el := c.lru.Back(); el != nil && len(c.entries) > c.cap; {
 		prev := el.Prev()
-		if e := el.Value.(*cacheEntry); e.done {
+		if f := el.Value.(*flight[K, V]); f.done {
 			c.lru.Remove(el)
-			delete(c.entries, e.key)
+			delete(c.entries, f.key)
 			c.evicted.Add(1)
 		}
 		el = prev
 	}
 }
 
-// invalidate drops every completed entry for name with a version below
-// beforeVersion (stale snapshots after a hot swap). In-flight builds
-// for stale versions finish and are then aged out by the LRU.
-func (c *resolverCache) invalidate(name string, beforeVersion uint64) {
+// drop removes every entry of slot with a version below before,
+// in-flight builds included.
+func (c *cache[K, V]) drop(slot *netEntry, before uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	for el := c.lru.Front(); el != nil; {
 		next := el.Next()
-		e := el.Value.(*cacheEntry)
-		if e.done && e.key.name == name && e.key.version < beforeVersion {
+		f := el.Value.(*flight[K, V])
+		if s, v := f.key.slotVersion(); s == slot && v < before {
 			c.lru.Remove(el)
-			delete(c.entries, e.key)
-			c.invalid.Add(1)
+			delete(c.entries, f.key)
+			c.dropped.Add(1)
 		}
 		el = next
 	}
 }
 
-// Builds returns the number of resolver builds started (cache
-// misses); the handler tests use it to assert single-flight dedup.
-func (c *resolverCache) Builds() int64 { return c.builds.Load() }
-
-// Hits returns the number of get calls answered without a build
-// (including waits on an in-flight build).
-func (c *resolverCache) Hits() int64 { return c.hits.Load() }
-
-// Evicted returns the number of LRU capacity evictions.
-func (c *resolverCache) Evicted() int64 { return c.evicted.Load() }
-
-// Invalidated returns the number of entries dropped because their
-// generation was superseded by a hot swap or PATCH delta.
-func (c *resolverCache) Invalidated() int64 { return c.invalid.Load() }
-
-// Len returns the number of cached (or building) resolvers.
-func (c *resolverCache) Len() int {
+// Len returns the number of cached (or building) entries.
+func (c *cache[K, V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)

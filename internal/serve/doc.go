@@ -62,12 +62,17 @@
 // Queries capture the snapshot once at the start of a request, so
 // in-flight batches and streams finish against the resolver they
 // started with while new requests see the new network — mobility
-// updates never drop traffic. Resolvers are cached per (network,
-// version, kind, eps, radius); concurrent first requests for the same
-// key share one build (single-flight — the O(n^3/eps) locator build
-// is the expensive case), and the cache evicts least-recently-used
-// resolvers beyond its capacity, which also ages out resolvers of
-// replaced network versions.
+// updates never drop traffic. Resolvers are cached per (registry
+// slot, version, kind, eps, radius) and schedules per (registry slot,
+// request shape); concurrent first requests for the same key share one
+// build (single-flight — the O(n^3/eps) locator build is the expensive
+// case), and completed entries beyond capacity are evicted
+// least-recently-used. A key names the registry slot, never the
+// network name, so a deleted-and-re-created name can never be answered
+// from the dead network's builds. A hot swap or PATCH drops the slot's
+// resolvers of older versions, and DELETE drops all of the slot's
+// entries, in-flight builds included; schedules survive a PATCH and the
+// next request repairs them.
 //
 // # Answer convention
 //

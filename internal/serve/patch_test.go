@@ -341,7 +341,7 @@ func TestPatchDuringStreamPinsEpochAndReleasesResolver(t *testing.T) {
 	if lr.Results[0].Station != 0 {
 		t.Fatalf("post-patch network answers station %d at its own station, want 0", lr.Results[0].Station)
 	}
-	if got := srv.cache.Len(); got != 1 {
+	if got := srv.resolvers.Len(); got != 1 {
 		t.Fatalf("cache holds %d resolvers after the swap, want 1 (superseded epoch released)", got)
 	}
 

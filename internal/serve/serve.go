@@ -140,8 +140,8 @@ type netEntry struct {
 type Server struct {
 	opt       Options
 	mux       *http.ServeMux
-	cache     *resolverCache
-	schedules *schedCache
+	resolvers *cache[resolverKey, resolve.Resolver]
+	schedules *cache[schedKey, *schedResult]
 	m         *serveMetrics
 	ids       *trace.IDSource
 	recorder  *trace.Recorder
@@ -189,14 +189,14 @@ func NewServer(opt Options) *Server {
 	s := &Server{
 		opt:       opt,
 		mux:       http.NewServeMux(),
-		cache:     newResolverCache(opt.MaxLocators),
-		schedules: newSchedCache(opt.MaxSchedules),
+		resolvers: newCache[resolverKey, resolve.Resolver](opt.MaxLocators),
+		schedules: newCache[schedKey, *schedResult](opt.MaxSchedules),
 		nets:      make(map[string]*netEntry),
 		ids:       trace.NewIDSource(),
 		recorder:  trace.NewRecorder(recorderRoutes(), flightSlowN, flightErrN),
 		drainCh:   make(chan struct{}),
 	}
-	s.m = newServeMetrics(s.cache, s.schedules)
+	s.m = newServeMetrics(s.resolvers, s.schedules)
 	s.ready.Store(true)
 	// Retry-After is whole seconds on the wire; round sub-second
 	// hints up so a shed client never retries inside the same window.
@@ -255,7 +255,7 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) { s.mux.Serve
 // hook). The name predates the pluggable-resolver API: since every
 // backend now flows through the same cache, the counter covers the
 // cheap baselines too, not just Theorem 3 locators.
-func (s *Server) LocatorBuilds() int64 { return s.cache.Builds() }
+func (s *Server) LocatorBuilds() int64 { return s.resolvers.builds.Load() }
 
 // Wire types.
 
@@ -508,8 +508,9 @@ func (s *Server) handlePatchNetwork(w http.ResponseWriter, r *http.Request) {
 	entry.snap.Store(next)
 	entry.mu.Unlock()
 
-	// Release the superseded generation's resolvers.
-	s.cache.invalidate(name, version)
+	// Release the superseded generations' resolvers. Schedule keys are
+	// generation-free: the next schedule request repairs its entry.
+	s.resolvers.drop(entry, version)
 
 	stats := es.ApplyStats()
 	writeJSON(w, http.StatusOK, NetworkResponse{
@@ -567,6 +568,24 @@ func (s *Server) entryFor(name string) (*netEntry, bool) {
 	return entry, true
 }
 
+// resolverKey identifies one resolver build: a registry slot at a
+// specific generation, answered by a specific backend with its
+// parameters. eps is zero for non-locator kinds and radius is zero for
+// non-UDG kinds (normalized by resolverFor), so e.g. "exact at eps
+// 0.1" and "exact at eps 0.2" share one cache entry. A cached locator
+// owns its sharded spatial index, so index and network can never
+// disagree mid-request: a new generation misses the cache and builds a
+// fresh pair, while requests holding the old snapshot keep the old one.
+type resolverKey struct {
+	slot    *netEntry
+	version uint64
+	kind    resolve.Kind
+	eps     float64
+	radius  float64
+}
+
+func (k resolverKey) slotVersion() (*netEntry, uint64) { return k.slot, k.version }
+
 // resolverFor captures the current snapshot of entry and returns the
 // resolver answering spec against it, building (or joining an
 // in-flight single-flight build) on a cache miss. Parameters
@@ -574,7 +593,7 @@ func (s *Server) entryFor(name string) (*netEntry, bool) {
 // cache lookup, so requests differing only in an ignored knob share
 // one resolver. The returned kind and eps are the effective ones
 // (after defaulting), for echoing in responses.
-func (s *Server) resolverFor(tr *trace.Trace, name string, entry *netEntry, spec resolverSpec) (*snapshot, resolve.Resolver, resolve.Kind, float64, error) {
+func (s *Server) resolverFor(tr *trace.Trace, entry *netEntry, spec resolverSpec) (*snapshot, resolve.Resolver, resolve.Kind, float64, error) {
 	snap := entry.snap.Load()
 	if snap == nil {
 		return nil, nil, 0, 0, errUnknownNetwork
@@ -617,13 +636,13 @@ func (s *Server) resolverFor(tr *trace.Trace, name string, entry *netEntry, spec
 			return nil, nil, 0, 0, fmt.Errorf("serve: radius must be a non-negative finite number, got %g", radius)
 		}
 	}
-	key := cacheKey{name: name, version: snap.version, kind: kind, eps: eps, radius: radius}
+	key := resolverKey{slot: entry, version: snap.version, kind: kind, eps: eps, radius: radius}
 	// One span covers the cache interaction either way: it begins as a
 	// hit (covering any wait on another request's in-flight build) and
 	// is renamed when this request turns out to run the build itself.
 	si := tr.Start("resolver.hit")
 	defer tr.End(si)
-	res, err := s.cache.get(key, func() (resolve.Resolver, error) {
+	res, _, err := s.resolvers.get(key, nil, func(resolve.Resolver) (resolve.Resolver, error) {
 		tr.SetName(si, "resolver.build")
 		if kind == resolve.KindDynamic {
 			// The epoch snapshot already carries its query structures:
@@ -731,7 +750,7 @@ func (s *Server) handleLocate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer entry.release()
-	snap, res, kind, eps, err := s.resolverFor(tr, req.Network, entry, resolverSpec{
+	snap, res, kind, eps, err := s.resolverFor(tr, entry, resolverSpec{
 		kind: req.Resolver, eps: req.Eps, radius: req.Radius,
 	})
 	if err != nil {
@@ -808,7 +827,7 @@ func (s *Server) handleLocateStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer entry.release()
-	snap, res, kind, _, err := s.resolverFor(tr, name, entry, spec)
+	snap, res, kind, _, err := s.resolverFor(tr, entry, spec)
 	if err != nil {
 		writeError(w, locateStatus(err), "%v", err)
 		return

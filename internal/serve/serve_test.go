@@ -612,7 +612,7 @@ func TestLRUEviction(t *testing.T) {
 		}
 		resp.Body.Close()
 	}
-	if got := srv.cache.Len(); got > 2 {
+	if got := srv.resolvers.Len(); got > 2 {
 		t.Errorf("cache holds %d locators, cap 2", got)
 	}
 	// eps 0.3 was evicted by 0.1 and had to rebuild: 4 builds total.
@@ -943,7 +943,7 @@ func TestNaNKnobsRejectedBeforeCaching(t *testing.T) {
 	if got := srv.LocatorBuilds(); got != 0 {
 		t.Errorf("NaN knobs started %d builds, want 0", got)
 	}
-	if got := srv.cache.Len(); got != 0 {
+	if got := srv.resolvers.Len(); got != 0 {
 		t.Errorf("NaN knobs leaked %d cache entries, want 0", got)
 	}
 

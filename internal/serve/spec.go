@@ -396,7 +396,7 @@ func (s *Server) tryConverge(spec *NetworkSpec, canonical []byte, hash string, k
 		next.net, next.epoch = es.Network(), es
 	}
 	entry.snap.Store(next)
-	s.cache.invalidate(spec.Name, version)
+	s.resolvers.drop(entry, version)
 	return SpecResult{
 		Name: spec.Name, Outcome: SpecPatched, Version: version,
 		Stations: next.net.NumStations(), Resolver: kind.String(),
@@ -463,7 +463,7 @@ func (s *Server) rebuildFromSpec(spec *NetworkSpec, canonical []byte, hash strin
 	})
 	entry.mu.Unlock()
 
-	s.cache.invalidate(spec.Name, version)
+	s.resolvers.drop(entry, version)
 	return SpecResult{
 		Name: spec.Name, Outcome: outcome, Version: version,
 		Stations: net.NumStations(), Resolver: kind.String(),
@@ -471,14 +471,15 @@ func (s *Server) rebuildFromSpec(spec *NetworkSpec, canonical []byte, hash strin
 }
 
 // DeleteNetwork removes name from the registry, reporting whether it
-// existed: the slot disappears (later requests 404), every cached
-// resolver and schedule for the name is evicted, and the per-network
-// gauges leave /metrics — a scrape after a delete carries no trace of
-// the network. In-flight requests that captured the entry finish
-// normally on their pinned snapshot.
+// existed: the slot disappears (later requests 404), and the
+// per-network gauges leave /metrics — a scrape after a delete carries
+// no trace of the network. In-flight requests that captured the entry
+// finish normally on their pinned snapshot. Cache keys name the slot,
+// so a re-created name can never match the dead slot's entries; the
+// drops below only free their memory, in-flight builds included.
 func (s *Server) DeleteNetwork(name string) bool {
 	s.mu.Lock()
-	_, ok := s.nets[name]
+	entry, ok := s.nets[name]
 	if ok {
 		delete(s.nets, name)
 		// Unregister under s.mu so a concurrent re-registration of the
@@ -490,8 +491,8 @@ func (s *Server) DeleteNetwork(name string) bool {
 	if !ok {
 		return false
 	}
-	s.cache.invalidate(name, math.MaxUint64)
-	s.schedules.invalidateName(name)
+	s.resolvers.drop(entry, math.MaxUint64)
+	s.schedules.drop(entry, math.MaxUint64)
 	// The observability surface forgets the network too: captured
 	// traces leave the flight recorder and its exemplars leave the
 	// latency histograms, mirroring the gauge eviction above — both

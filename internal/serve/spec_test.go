@@ -307,8 +307,8 @@ func TestDeleteEvictsEverything(t *testing.T) {
 		t.Fatalf("schedule: %s", resp.Status)
 	}
 	resp.Body.Close()
-	if srv.cache.Len() == 0 || srv.schedules.Len() == 0 {
-		t.Fatalf("caches not populated: resolvers %d, schedules %d", srv.cache.Len(), srv.schedules.Len())
+	if srv.resolvers.Len() == 0 || srv.schedules.Len() == 0 {
+		t.Fatalf("caches not populated: resolvers %d, schedules %d", srv.resolvers.Len(), srv.schedules.Len())
 	}
 
 	scrape := func() string {
@@ -344,8 +344,8 @@ func TestDeleteEvictsEverything(t *testing.T) {
 	if got := scrape(); strings.Contains(got, `network="doomed"`) {
 		t.Fatalf("per-network series survived delete:\n%s", got)
 	}
-	if srv.cache.Len() != 0 {
-		t.Fatalf("%d resolver cache entries survived delete", srv.cache.Len())
+	if srv.resolvers.Len() != 0 {
+		t.Fatalf("%d resolver cache entries survived delete", srv.resolvers.Len())
 	}
 	if srv.schedules.Len() != 0 {
 		t.Fatalf("%d schedule cache entries survived delete", srv.schedules.Len())

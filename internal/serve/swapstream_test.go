@@ -155,9 +155,12 @@ func TestStreamHotSwapConsistency(t *testing.T) {
 
 // TestCacheEvictionLifecycle covers the resolver cache's eviction
 // rules directly: in-flight builds survive a capacity squeeze, failed
-// builds are retried, and invalidation drops only stale generations.
+// builds are retried, and dropping superseded generations removes only
+// the stale ones of that slot.
 func TestCacheEvictionLifecycle(t *testing.T) {
-	c := newResolverCache(1)
+	c := newCache[resolverKey, resolve.Resolver](1)
+	build := func(resolve.Resolver) (resolve.Resolver, error) { return nil, nil }
+	a, b, n, other := &netEntry{}, &netEntry{}, &netEntry{}, &netEntry{}
 
 	// An in-flight build must not be evicted while a second key churns
 	// the LRU past capacity.
@@ -165,10 +168,10 @@ func TestCacheEvictionLifecycle(t *testing.T) {
 	release := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)
-	slowKey := cacheKey{name: "a", version: 1}
+	slowKey := resolverKey{slot: a, version: 1}
 	go func() {
 		defer wg.Done()
-		_, _ = c.get(slowKey, func() (resolve.Resolver, error) {
+		_, _, _ = c.get(slowKey, nil, func(resolve.Resolver) (resolve.Resolver, error) {
 			close(started)
 			<-release
 			return nil, nil
@@ -176,9 +179,7 @@ func TestCacheEvictionLifecycle(t *testing.T) {
 	}()
 	<-started
 	for i := 0; i < 3; i++ {
-		if _, err := c.get(cacheKey{name: "b", version: uint64(i)}, func() (resolve.Resolver, error) {
-			return nil, nil
-		}); err != nil {
+		if _, _, err := c.get(resolverKey{slot: b, version: uint64(i)}, nil, build); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -189,9 +190,7 @@ func TestCacheEvictionLifecycle(t *testing.T) {
 	wg.Wait()
 
 	// Once complete, the over-cap survivors age out on the next insert.
-	if _, err := c.get(cacheKey{name: "c", version: 9}, func() (resolve.Resolver, error) {
-		return nil, nil
-	}); err != nil {
+	if _, _, err := c.get(resolverKey{slot: n, version: 9}, nil, build); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() > 1 {
@@ -201,7 +200,7 @@ func TestCacheEvictionLifecycle(t *testing.T) {
 	// A failed build is dropped so the next get retries it.
 	fails := 0
 	for i := 0; i < 2; i++ {
-		_, _ = c.get(cacheKey{name: "err", version: 1}, func() (resolve.Resolver, error) {
+		_, _, _ = c.get(resolverKey{slot: other, version: 1}, nil, func(resolve.Resolver) (resolve.Resolver, error) {
 			fails++
 			return nil, fmt.Errorf("boom")
 		})
@@ -210,32 +209,26 @@ func TestCacheEvictionLifecycle(t *testing.T) {
 		t.Fatalf("failed build cached: %d build calls, want 2", fails)
 	}
 
-	// invalidate removes only versions below the cutoff for the name.
-	c2 := newResolverCache(8)
+	// drop removes only versions below the cutoff for the slot.
+	c2 := newCache[resolverKey, resolve.Resolver](8)
 	for v := uint64(1); v <= 3; v++ {
-		if _, err := c2.get(cacheKey{name: "n", version: v}, func() (resolve.Resolver, error) {
-			return nil, nil
-		}); err != nil {
+		if _, _, err := c2.get(resolverKey{slot: n, version: v}, nil, build); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c2.get(cacheKey{name: "other", version: 1}, func() (resolve.Resolver, error) {
-		return nil, nil
-	}); err != nil {
+	if _, _, err := c2.get(resolverKey{slot: other, version: 1}, nil, build); err != nil {
 		t.Fatal(err)
 	}
-	c2.invalidate("n", 3)
+	c2.drop(n, 3)
 	if got := c2.Len(); got != 2 {
-		t.Fatalf("after invalidate: cache len %d, want 2 (n@3 and other@1)", got)
+		t.Fatalf("after drop: cache len %d, want 2 (n@3 and other@1)", got)
 	}
-	builds := c2.Builds()
-	if _, err := c2.get(cacheKey{name: "n", version: 3}, func() (resolve.Resolver, error) {
-		return nil, nil
-	}); err != nil {
+	builds := c2.builds.Load()
+	if _, _, err := c2.get(resolverKey{slot: n, version: 3}, nil, build); err != nil {
 		t.Fatal(err)
 	}
-	if c2.Builds() != builds {
-		t.Fatal("current generation was invalidated (rebuild observed)")
+	if c2.builds.Load() != builds {
+		t.Fatal("current generation was dropped (rebuild observed)")
 	}
 }
 
@@ -265,7 +258,7 @@ func TestHTTPEvictionRebuildsCurrentSnapshot(t *testing.T) {
 			t.Fatalf("swap %d: station %d, want %d", v, got.Results[0].Station, want)
 		}
 	}
-	if got := srv.cache.Len(); got > 2 {
+	if got := srv.resolvers.Len(); got > 2 {
 		t.Fatalf("cache len %d exceeds cap 2 after swaps", got)
 	}
 }
